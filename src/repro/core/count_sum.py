@@ -69,16 +69,6 @@ def n_plus(m_v, r, R, delta, alpha: float = ALPHA):
     return np.clip(np.ceil(est), 1.0, float(R))
 
 
-def mean_bounder_delta(delta, alpha: float = ALPHA) -> float:
-    """Per-side budget left for the mean bounder after the N+ split.
-
-    Theorem 3: the interval [Lbound(..., N+, alpha*delta/2),
-    Rbound(..., N+, alpha*delta/2)] paired with the N+ event at
-    (1-alpha)*delta is a (1-delta) CI.
-    """
-    return alpha * delta  # callers split /2 per side via Bounder.ci
-
-
 def sum_ci(avg_lo, avg_hi, cnt_lo, cnt_hi) -> Tuple[np.ndarray, np.ndarray]:
     """Combine a (1-d/2) AVG CI and a (1-d/2) COUNT CI into a (1-d) SUM CI.
 

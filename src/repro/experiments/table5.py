@@ -54,10 +54,7 @@ def run_table5(
     scramble: Scramble,
     *,
     queries: Optional[List[str]] = None,
-    strategy: str = "active_peek",
-    delta: float = 1e-15,
     round_rows: int = 40_000,
-    start_block: int = 0,
 ) -> pd.DataFrame:
     """One tidy row per (query, approach); Exact included as an approach."""
     names = queries or list(ALL_QUERIES)
@@ -69,12 +66,7 @@ def run_table5(
         exact_res = run_query(
             scramble,
             spec,
-            EngineConfig(
-                bounder="exact",
-                strategy="scan",
-                round_rows=round_rows,
-                start_block=start_block,
-            ),
+            EngineConfig(bounder="exact", strategy="scan", round_rows=round_rows),
         )
         base = {
             "query": name,
@@ -97,14 +89,7 @@ def run_table5(
             res = run_query(
                 scramble,
                 spec,
-                EngineConfig(
-                    bounder=bounder,
-                    range_trim=rt,
-                    strategy=strategy,
-                    delta=delta,
-                    round_rows=round_rows,
-                    start_block=start_block,
-                ),
+                EngineConfig(bounder=bounder, range_trim=rt, round_rows=round_rows),
             )
             rows.append(
                 {

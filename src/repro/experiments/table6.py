@@ -41,9 +41,7 @@ def run_table6(
     scramble: Scramble,
     *,
     queries: Optional[List[str]] = None,
-    delta: float = 1e-15,
     round_rows: int = 40_000,
-    start_block: int = 0,
 ) -> pd.DataFrame:
     """One tidy row per (query, strategy), Bernstein+RT throughout."""
     names = queries or TABLE6_QUERIES
@@ -61,9 +59,7 @@ def run_table6(
                     bounder="bernstein",
                     range_trim=True,
                     strategy=strategy,
-                    delta=delta,
                     round_rows=round_rows,
-                    start_block=start_block,
                 ),
             )
             per_strategy[strategy] = res

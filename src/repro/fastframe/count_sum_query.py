@@ -1,8 +1,10 @@
 """Engine-level COUNT and SUM queries (paper §4.1).
 
-A single-view scan under the plain ``Scan`` strategy (no block skipping
-— required so the Lemma-5 selectivity estimate stays unbiased, see
-:mod:`repro.core.count_sum`), computing per-round:
+A single-view scan that drives the engine's shared fetch step
+(:class:`repro.fastframe.engine._Fetch`) under the plain ``Scan``
+strategy with every block eligible — no predicate- or group-driven
+skipping, so the Lemma-5 selectivity estimate stays unbiased (see
+:mod:`repro.core.count_sum`) — computing per round:
 
 * a COUNT CI from the selectivity CI times the scramble size, and
 * for SUM, the product-combination of a ``(1-delta/2)`` COUNT CI and a
@@ -13,17 +15,16 @@ the requested absolute/relative width is reached.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core import vectorized
 from repro.core.count_sum import ALPHA, count_ci, n_plus, sum_ci
 from repro.core.optstop import round_delta
-from repro.fastframe.engine import Prep, _BlockPicker, prepare
+from repro.fastframe.engine import _Fetch, prepare
 from repro.fastframe.queries import QuerySpec
 from repro.fastframe.scramble import Scramble
 
@@ -68,47 +69,22 @@ def run_count_sum(
     if spec.group_cols:
         raise ValueError("COUNT/SUM path supports single-view queries only")
 
-    prep: Prep = prepare(scramble, spec)
-    B, R = scramble.n_blocks, scramble.n_rows
-    rows_per_block = scramble.rows_per_block
-    round_blocks = max(1, math.ceil(round_rows / scramble.block_size))
+    prep = prepare(scramble, spec)
+    R = scramble.n_rows
     # Plain Scan over ALL blocks: no predicate-bitmap skipping either,
     # otherwise the scanned rows are biased toward matching blocks and
     # the selectivity CI (hence the COUNT lower bound) would break.
-    all_blocks = np.ones(B, dtype=bool)
-    picker = _BlockPicker(B, 0, 1024)
-    fetched = np.zeros(B, dtype=bool)
-    row_starts = np.searchsorted(prep.blk, np.arange(B))
-    row_ends = np.searchsorted(prep.blk, np.arange(B), side="right")
+    all_blocks = np.ones(scramble.n_blocks, dtype=bool)
+    fetch = _Fetch(scramble, prep, all_blocks, 0, round_rows, delta)
 
-    m = 0.0
-    tot = 0.0
-    sq = 0.0
-    vmin, vmax = np.inf, -np.inf
-    r = 0
-    blocks_fetched = 0
     k = 0
-    lo = hi = est = 0.0
-    exhausted = False
     t0 = time.perf_counter()
     while True:
         k += 1
-        picked = picker.pick_scan(fetched, all_blocks, round_blocks)
-        if picked.size == 0:
-            exhausted = True
-        else:
-            fetched[picked] = True
-            blocks_fetched += int(picked.size)
-            r += int(rows_per_block[picked].sum())
-            starts, ends = row_starts[picked], row_ends[picked]
-            sel = [np.arange(s, e) for s, e in zip(starts, ends) if e > s]
-            if sel:
-                idx = np.concatenate(sel)
-                m += float(prep.cnt[idx].sum())
-                tot += float(prep.tot[idx].sum())
-                sq += float(prep.sq[idx].sum())
-                vmin = min(vmin, float(prep.mn[idx].min()))
-                vmax = max(vmax, float(prep.mx[idx].max()))
+        exhausted = not fetch.step("scan")
+        m, tot, sq = float(fetch.m[0]), float(fetch.tot[0]), float(fetch.sq[0])
+        vmin, vmax = float(fetch.mn[0]), float(fetch.mx[0])
+        r = fetch.rows_scanned
 
         delta_k = round_delta(delta, k)
         if exhausted:
@@ -154,7 +130,7 @@ def run_count_sum(
         hi=float(hi),
         m=int(m),
         rows_scanned=r,
-        blocks_fetched=blocks_fetched,
+        blocks_fetched=fetch.blocks_fetched,
         rounds=k,
         wall_seconds=time.perf_counter() - t0,
         exhausted=exhausted,

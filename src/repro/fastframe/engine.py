@@ -24,7 +24,9 @@ Scramble; it is timed separately (``prep_seconds``) since it is
 bounder/strategy-independent. The round loop itself is pure NumPy whose
 work is proportional to blocks fetched — the same cost structure as the
 paper's in-memory engine, and the loop wall-clock is what the
-experiment harnesses report.
+experiment harnesses report. Its fetch step (:class:`_Fetch`) is shared
+with :func:`repro.fastframe.count_sum_query.run_count_sum`, which drives
+it under Scan with every block eligible.
 
 Confidence budget chain (all documented in DESIGN.md): per-query
 ``delta`` is divided by the group-domain size ``G`` (number of
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -64,7 +66,6 @@ class EngineConfig:
     delta: float = 1e-15
     round_rows: int = 40_000  # paper §4.2: bounds recomputed every 40000 rows
     start_block: int = 0
-    lookahead: int = LOOKAHEAD_BLOCKS
 
     def label(self) -> str:
         if self.bounder == "exact":
@@ -80,7 +81,8 @@ class Prep:
     groups: List[Tuple]
     gmatrix: np.ndarray  # bool [G, B] — group presence per block
     static_mask: np.ndarray  # bool [B] — predicate-eligible blocks
-    blk: np.ndarray  # per stat-row block id
+    blk: np.ndarray  # per stat-row block id (sorted)
+    offsets: np.ndarray  # CSR [B+1]: block i's stat rows are offsets[i]:offsets[i+1]
     gid: np.ndarray  # per stat-row group index
     cnt: np.ndarray
     tot: np.ndarray
@@ -168,11 +170,13 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
     else:
         gid = np.zeros(len(pdf), dtype=np.int64)
 
+    blk = pdf["block_id"].to_numpy(dtype=np.int64)
     prep = Prep(
         groups=groups,
         gmatrix=gmatrix,
         static_mask=static,
-        blk=pdf["block_id"].to_numpy(dtype=np.int64),
+        blk=blk,
+        offsets=np.searchsorted(blk, np.arange(scramble.n_blocks + 1)),
         gid=gid,
         cnt=pdf["cnt"].to_numpy(dtype=np.float64),
         tot=pdf["tot"].to_numpy(dtype=np.float64),
@@ -198,67 +202,47 @@ class _BlockPicker:
     with exact results in the worst case).
     """
 
-    def __init__(self, n_blocks: int, start_block: int, lookahead: int):
+    def __init__(self, n_blocks: int, start_block: int):
         self.n = n_blocks
         self.order = (np.arange(n_blocks, dtype=np.int64) + start_block) % n_blocks
         self.frontier = 0
-        self.lookahead = lookahead
         self.probes = 0
 
-    def _cyclic_batch(self, i: int, size: int) -> np.ndarray:
-        idx = (self.frontier + i + np.arange(size)) % self.n
-        return self.order[idx]
-
-    def _advance(self, i_batch_start, size, taken_pos, n_taken, n_eligible):
-        """Frontier bookkeeping for batched walks.
-
-        If the quota filled mid-batch (some eligible blocks in this batch
-        were left untaken), the frontier must stop just past the last
-        block actually taken so nothing is silently skipped; otherwise it
-        moves past the whole batch. Returns (advance, stop_walk).
-        """
-        if n_taken and n_taken < n_eligible:
-            return i_batch_start + int(taken_pos[n_taken - 1]) + 1, True
-        return i_batch_start + size, False
-
-    def pick_scan(self, fetched, static, k_blocks) -> np.ndarray:
+    def _walk(self, fetched, eligible, k_blocks, gmatrix=None, active_idx=None):
+        """Take up to ``k_blocks`` unread eligible blocks in visit order,
+        ``LOOKAHEAD_BLOCKS`` at a time. With ``active_idx`` set, a block
+        is taken only if one of those groups is present in it: one
+        vectorized probe per batch, the async-lookahead analog."""
         picked: list = []
+        n_picked = 0
         i = 0
         while i < self.n:
-            size = min(self.lookahead, self.n - i)
-            blocks = self._cyclic_batch(i, size)
-            elig = np.flatnonzero(~fetched[blocks] & static[blocks])
-            need = k_blocks - len(picked)
-            take = elig[:need]
-            picked.extend(blocks[take].tolist())
-            i, stop = self._advance(i, size, take, take.size, elig.size)
-            if stop or len(picked) >= k_blocks:
-                break
-        self.frontier = (self.frontier + i) % self.n
-        return np.array(picked, dtype=np.int64)
-
-    def pick_active_peek(self, fetched, static, gmatrix, active_idx, k_blocks):
-        picked: list = []
-        i = 0
-        while i < self.n:
-            size = min(self.lookahead, self.n - i)
-            blocks = self._cyclic_batch(i, size)
-            cand = np.flatnonzero(~fetched[blocks] & static[blocks])
-            if cand.size:
-                # One vectorized probe per batch: the async-lookahead analog.
+            size = min(LOOKAHEAD_BLOCKS, self.n - i)
+            blocks = self.order[(self.frontier + i + np.arange(size)) % self.n]
+            cand = np.flatnonzero(~fetched[blocks] & eligible[blocks])
+            if active_idx is not None and cand.size:
                 hit_mask = gmatrix[np.ix_(active_idx, blocks[cand])].any(axis=0)
                 self.probes += int(active_idx.size * cand.size)
-                hits = cand[hit_mask]
-            else:
-                hits = cand
-            need = k_blocks - len(picked)
-            take = hits[:need]
-            picked.extend(blocks[take].tolist())
-            i, stop = self._advance(i, size, take, take.size, hits.size)
-            if stop or len(picked) >= k_blocks:
+                cand = cand[hit_mask]
+            take = cand[: k_blocks - n_picked]
+            picked.append(blocks[take])
+            n_picked += take.size
+            if take.size and take.size < cand.size:
+                # The quota filled mid-batch: stop just past the last block
+                # taken so no eligible block is silently skipped.
+                i += int(take[-1]) + 1
+                break
+            i += size
+            if n_picked >= k_blocks:
                 break
         self.frontier = (self.frontier + i) % self.n
-        return np.array(picked, dtype=np.int64)
+        return np.concatenate(picked)
+
+    def pick_scan(self, fetched, static, k_blocks) -> np.ndarray:
+        return self._walk(fetched, static, k_blocks)
+
+    def pick_active_peek(self, fetched, static, gmatrix, active_idx, k_blocks):
+        return self._walk(fetched, static, k_blocks, gmatrix, active_idx)
 
     def pick_active_sync(self, fetched, static, gmatrix, active_idx, k_blocks):
         picked: list = []
@@ -278,6 +262,78 @@ class _BlockPicker:
         return np.array(picked, dtype=np.int64)
 
 
+def _gather(offsets: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """Stat-row indices of the ``picked`` blocks, in picked-block order:
+    ``concatenate([arange(offsets[b], offsets[b+1]) for b in picked])``
+    without a per-block loop."""
+    starts = offsets[picked]
+    lens = offsets[picked + 1] - starts
+    ends = np.cumsum(lens)
+    # Row j of block k sits at starts[k] + (j - ends[k] + lens[k]).
+    return np.arange(lens.sum()) - np.repeat(ends - lens - starts, lens)
+
+
+class _Fetch:
+    """One query's scan state and its fetch step, shared by AVG and COUNT/SUM.
+
+    Owns the block picker, the read and eligible block masks, the
+    per-group running statistics (m, Σv, Σv², min, max), the cost
+    counters and the per-group count of eligible blocks still unread.
+    """
+
+    def __init__(self, scramble: Scramble, prep: Prep, eligible: np.ndarray,
+                 start_block: int, round_rows: int, delta: float):
+        if not (0.0 < delta < 1.0):
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
+        G = len(prep.groups)
+        B = scramble.n_blocks
+        self.prep = prep
+        self.eligible = eligible
+        self.rows_per_block = scramble.rows_per_block
+        self.round_blocks = max(1, math.ceil(round_rows / scramble.block_size))
+        self.picker = _BlockPicker(B, start_block % B)
+        self.fetched = np.zeros(B, dtype=bool)
+        self.m = np.zeros(G, dtype=np.float64)
+        self.tot = np.zeros(G, dtype=np.float64)
+        self.sq = np.zeros(G, dtype=np.float64)
+        self.mn = np.full(G, np.inf)
+        self.mx = np.full(G, -np.inf)
+        self.blocks_fetched = 0
+        self.rows_scanned = 0
+        self.remaining = (prep.gmatrix & eligible).sum(axis=1).astype(np.int64)
+
+    def step(self, strategy: str, active_idx: Optional[np.ndarray] = None) -> bool:
+        """Pick one round of blocks and fold in their statistics.
+
+        Returns False, having read nothing, once no eligible block is
+        left to pick."""
+        p, picker = self.prep, self.picker
+        if strategy == "scan":
+            picked = picker.pick_scan(self.fetched, self.eligible, self.round_blocks)
+        elif strategy in ("active_peek", "active_sync"):
+            pick = (picker.pick_active_peek if strategy == "active_peek"
+                    else picker.pick_active_sync)
+            picked = pick(
+                self.fetched, self.eligible, p.gmatrix, active_idx, self.round_blocks
+            )
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if picked.size == 0:
+            return False
+        self.fetched[picked] = True
+        self.blocks_fetched += int(picked.size)
+        self.rows_scanned += int(self.rows_per_block[picked].sum())
+        self.remaining -= p.gmatrix[:, picked].sum(axis=1)
+        sel = _gather(p.offsets, picked)
+        g, G = p.gid[sel], self.m.size
+        self.m += np.bincount(g, weights=p.cnt[sel], minlength=G)
+        self.tot += np.bincount(g, weights=p.tot[sel], minlength=G)
+        self.sq += np.bincount(g, weights=p.sq[sel], minlength=G)
+        np.minimum.at(self.mn, g, p.mn[sel])
+        np.maximum.at(self.mx, g, p.mx[sel])
+        return True
+
+
 def run_query(
     scramble: Scramble, spec: QuerySpec, config: Optional[EngineConfig] = None
 ) -> QueryResult:
@@ -285,32 +341,15 @@ def run_query(
     config = config or EngineConfig()
     prep = prepare(scramble, spec)
     G = len(prep.groups)
-    B = scramble.n_blocks
     R = scramble.n_rows
-    rows_per_block = scramble.rows_per_block
     exact_mode = config.bounder == "exact"
     delta_group = config.delta / max(1, G)
-    round_blocks = max(1, math.ceil(config.round_rows / scramble.block_size))
+    fetch = _Fetch(scramble, prep, prep.static_mask, config.start_block,
+                   config.round_rows, config.delta)
+    m, tot = fetch.m, fetch.tot
 
-    # Running per-group state
-    m = np.zeros(G, dtype=np.float64)
-    tot = np.zeros(G, dtype=np.float64)
-    sq = np.zeros(G, dtype=np.float64)
-    mn = np.full(G, np.inf)
-    mx = np.full(G, -np.inf)
     inter = RunningIntersection(G, prep.a, prep.b)
-    fetched = np.zeros(B, dtype=bool)
     active = np.ones(G, dtype=bool)
-    picker = _BlockPicker(B, config.start_block % B, config.lookahead)
-    # Incremental exhaustion tracking: remaining eligible blocks per group.
-    remaining = (prep.gmatrix & prep.static_mask).sum(axis=1).astype(np.int64)
-    # Stat rows are sorted by block id; per-block row ranges let each round
-    # gather exactly the fetched blocks' rows (O(rows fetched), not O(S)).
-    row_starts = np.searchsorted(prep.blk, np.arange(B))
-    row_ends = np.searchsorted(prep.blk, np.arange(B), side="right")
-
-    blocks_fetched = 0
-    rows_scanned = 0
     k_round = 0
     exhausted_all = False
     est = np.full(G, 0.5 * (prep.a + prep.b))
@@ -322,41 +361,13 @@ def run_query(
     while True:
         k_round += 1
         if exact_mode or config.strategy == "scan":
-            picked = picker.pick_scan(fetched, prep.static_mask, round_blocks)
+            exhausted_all = not fetch.step("scan")
         else:
             active_idx = np.flatnonzero(active)
             if active_idx.size == 0:
                 exhausted_all = True
                 break
-            if config.strategy == "active_peek":
-                picked = picker.pick_active_peek(
-                    fetched, prep.static_mask, prep.gmatrix, active_idx, round_blocks
-                )
-            elif config.strategy == "active_sync":
-                picked = picker.pick_active_sync(
-                    fetched, prep.static_mask, prep.gmatrix, active_idx, round_blocks
-                )
-            else:
-                raise ValueError(f"unknown strategy {config.strategy!r}")
-
-        if picked.size == 0:
-            exhausted_all = True
-        else:
-            fetched[picked] = True
-            blocks_fetched += int(picked.size)
-            rows_scanned += int(rows_per_block[picked].sum())
-            remaining -= prep.gmatrix[:, picked].sum(axis=1)
-            starts, ends = row_starts[picked], row_ends[picked]
-            sel = np.concatenate(
-                [np.arange(s, e) for s, e in zip(starts, ends) if e > s]
-            ) if np.any(ends > starts) else np.empty(0, dtype=np.int64)
-            if sel.size:
-                g = prep.gid[sel]
-                m += np.bincount(g, weights=prep.cnt[sel], minlength=G)
-                tot += np.bincount(g, weights=prep.tot[sel], minlength=G)
-                sq += np.bincount(g, weights=prep.sq[sel], minlength=G)
-                np.minimum.at(mn, g, prep.mn[sel])
-                np.maximum.at(mx, g, prep.mx[sel])
+            exhausted_all = not fetch.step(config.strategy, active_idx)
 
         if exact_mode:
             if exhausted_all:
@@ -366,16 +377,16 @@ def run_query(
         # Per-group view-size upper bound N+ (Theorem 3) and CIs with the
         # OptStop round budget (Algorithm 5 / Theorem 4).
         delta_k = round_delta(delta_group, k_round)
-        r_eff = max(1, rows_scanned)
+        r_eff = max(1, fetch.rows_scanned)
         Nplus = n_plus(m, r_eff, R, delta_k)
         Nplus = np.maximum(Nplus, m)  # guard: a legal size is >= the sample
         lo_k, hi_k = vectorized.ci(
             config.bounder,
             m,
             tot,
-            sq,
-            mn,
-            mx,
+            fetch.sq,
+            fetch.mn,
+            fetch.mx,
             prep.a,
             prep.b,
             Nplus,
@@ -384,7 +395,7 @@ def run_query(
         )
         inter.update(lo_k, hi_k)
 
-        exhausted = remaining <= 0
+        exhausted = fetch.remaining <= 0
 
         est = np.where(m > 0, tot / np.maximum(m, 1.0), 0.5 * (prep.a + prep.b))
         lo, hi = inter.lo.copy(), inter.hi.copy()
@@ -428,12 +439,12 @@ def run_query(
         hi=hi[alive],
         m=m[alive],
         decision=decision,
-        blocks_fetched=blocks_fetched,
-        rows_scanned=rows_scanned,
+        blocks_fetched=fetch.blocks_fetched,
+        rows_scanned=fetch.rows_scanned,
         rounds=k_round,
         wall_seconds=wall,
         prep_seconds=prep.prep_seconds,
-        index_probes=picker.probes,
+        index_probes=fetch.picker.probes,
         exhausted_all=exhausted_all,
     )
 

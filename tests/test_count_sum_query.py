@@ -79,3 +79,19 @@ def test_cost_accounting(scramble):
     res = run_count_sum(scramble, _spec(), "COUNT", round_rows=ROUND)
     assert res.blocks_fetched == scramble.n_blocks
     assert res.rows_scanned == scramble.n_rows
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 2.0])
+def test_delta_outside_unit_interval_rejected(scramble, delta):
+    with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+        run_count_sum(scramble, _spec(), "SUM", round_rows=ROUND, delta=delta)
+
+
+@pytest.mark.parametrize("agg", ["COUNT", "SUM"])
+def test_predicate_never_skips_blocks(scramble, agg):
+    """Lemma 5 needs an unbiased selectivity estimate: COUNT/SUM read every
+    block, also those the Origin bitmap says hold no ORD row."""
+    spec = _spec((Q.Eq("Origin", "ORD"),))
+    res = run_count_sum(scramble, spec, agg, round_rows=ROUND)
+    assert res.blocks_fetched == scramble.n_blocks
+    assert res.rows_scanned == scramble.n_rows

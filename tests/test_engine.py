@@ -21,7 +21,7 @@ from repro.experiments.ground_truth import (
     flights_pandas,
 )
 from repro.fastframe import queries as Q
-from repro.fastframe.engine import EngineConfig, prepare, run_query
+from repro.fastframe.engine import EngineConfig, _gather, prepare, run_query
 from repro.oracle import assert_equivalent
 
 ROUND_ROWS = 2_000  # small rounds so tiny test data still exercises OptStop
@@ -219,6 +219,53 @@ def test_empty_view_groups_dropped(scramble):
 def test_unknown_strategy_raises(scramble):
     with pytest.raises(ValueError):
         run_query(scramble, Q.fq9(), _cfg(bounder="bernstein", strategy="bogus"))
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 2.0])
+def test_delta_outside_unit_interval_rejected(scramble, delta):
+    with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+        run_query(scramble, Q.fq9(), _cfg(bounder="bernstein", delta=delta))
+
+
+# --- CSR stat-row gather ----------------------------------------------------
+
+def _per_block_rows(offsets, picked):
+    return np.concatenate(
+        [np.arange(offsets[b], offsets[b + 1]) for b in picked]
+        + [np.empty(0, dtype=np.int64)]
+    )
+
+
+def _picks(rng, n_blocks, k):
+    """A wrapped-around run of k blocks and k blocks in random order."""
+    start = int(rng.integers(n_blocks))
+    return [(start + np.arange(k)) % n_blocks, rng.permutation(n_blocks)[:k]]
+
+
+def test_gather_matches_per_block_ranges_random_csr():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n_blocks = int(rng.integers(1, 300))
+        lens = rng.integers(0, 5, n_blocks) * (rng.random(n_blocks) < 0.6)
+        offsets = np.concatenate([[0], np.cumsum(lens)])
+        for picked in _picks(rng, n_blocks, int(rng.integers(0, n_blocks + 1))):
+            got = _gather(offsets, picked)
+            assert np.array_equal(got, _per_block_rows(offsets, picked))
+
+
+def test_gather_on_predicate_filtered_prep(scramble):
+    """F-q4's stat rows are ORD rows only, so many blocks hold none."""
+    prep = prepare(scramble, Q.fq4())
+    B = scramble.n_blocks
+    offsets = prep.offsets
+    assert offsets.shape == (B + 1,) and offsets[-1] == prep.blk.size
+    assert np.array_equal(np.repeat(np.arange(B), np.diff(offsets)), prep.blk)
+    assert (np.diff(offsets) == 0).any()
+    rng = np.random.default_rng(1)
+    for k in (1, 7, 64, B // 2, B):
+        for picked in _picks(rng, B, k):
+            got = _gather(offsets, picked)
+            assert np.array_equal(got, _per_block_rows(offsets, picked))
 
 
 def test_fq4_decision_value(scramble, flights_pdf):
