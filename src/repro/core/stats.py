@@ -4,8 +4,8 @@ All bounders in the engine path (Hoeffding-Serfling and empirical
 Bernstein-Serfling, with or without RangeTrim) need only the tuple
 ``(m, sum, sumsq, min, max)`` of the sample seen so far. These merge
 associatively across blocks, which is what lets the scan engine
-aggregate per-block statistics with a single Spark ``groupBy`` and then
-replay the adaptive scan over them.
+aggregate per-block statistics once (a ``bincount`` over the scramble's
+columnar copy) and then replay the adaptive scan over them.
 
 RangeTrim's "trimmed" states are derived views of the same tuple:
 dropping one copy of the max (resp. min) is ``(m-1, sum-max,

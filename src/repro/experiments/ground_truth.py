@@ -19,11 +19,14 @@ from repro.fastframe.scramble import Scramble
 
 
 def flights_pandas(scramble: Scramble) -> pd.DataFrame:
-    """The scramble's logical rows as pandas (cached; oracle input)."""
+    """The scramble's logical rows as pandas (cached; oracle input).
+
+    Converted from the scramble's one Arrow pull, which per-query prep
+    shares, rather than pulled from Spark a second time."""
     key = ("flights_pdf",)
     if key not in scramble.prep_cache:
         scramble.prep_cache[key] = (
-            scramble.df.drop("row_id", "block_id").toPandas()
+            scramble.table().drop_columns(["row_id", "block_id"]).to_pandas()
         )
     return scramble.prep_cache[key]
 

@@ -17,10 +17,13 @@ Strategies (paper §5.2):
                     one vectorized probe per batch (the paper's async
                     lookahead, which amortizes probe cost).
 
-The per-query Spark work (per-block group statistics via
-``groupBy("block_id", *group_cols).agg(...)``, bitmap matrices, group
-domains) is prepared once per query signature and cached on the
-Scramble; it is timed separately (``prep_seconds``) since it is
+Per-query prep (:func:`prepare`: per-(block, group) statistics, bitmap
+matrices, group domains) reads only the scramble's driver-side Arrow
+copy, pulled from Spark once per scramble, and runs in NumPy: predicate
+masks through the bitmap's value codes, then one ``np.unique`` over the
+(block, group) cells and ``bincount`` / ``minimum.at`` / ``maximum.at``
+for the statistics. It is prepared once per query signature, cached on
+the Scramble, and timed separately (``prep_seconds``) since it is
 bounder/strategy-independent. The round loop itself is pure NumPy whose
 work is proportional to blocks fetched — the same cost structure as the
 paper's in-memory engine, and the loop wall-clock is what the
@@ -43,13 +46,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.core import vectorized
 from repro.core.count_sum import ALPHA, n_plus
 from repro.core.optstop import RunningIntersection, round_delta
 from repro.core.stopping import Threshold, TopK
-from repro.fastframe.bitmap import get_column_bitmap, group_bitmap_matrix
+from repro.fastframe.bitmap import (
+    get_column_bitmap,
+    group_bitmap_matrix,
+    group_index,
+)
 from repro.fastframe.queries import Eq, QuerySpec
 from repro.fastframe.scramble import Scramble
 
@@ -128,61 +134,63 @@ class QueryResult:
 
 
 def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
-    """Spark-side prep: block stats + bitmaps, cached per query signature."""
+    """Block stats + bitmaps in NumPy, cached per query signature.
+
+    Reads the scramble's driver-side Arrow copy only. Stat rows are one
+    per (block, group) holding a row that passes the predicate and has a
+    non-null measure, in (block, group) order; a null measure is skipped
+    (SQL ``COUNT(v)`` / ``SUM(v)``), a null group or predicate value
+    raises ``ValueError``.
+    """
     key = ("prep", spec.signature())
     if key in scramble.prep_cache:
         return scramble.prep_cache[key]
     t0 = time.perf_counter()
 
     a, b = scramble.catalog.bounds(spec.agg_col)
+    B = scramble.n_blocks
 
     if spec.group_cols:
         groups, gmatrix = group_bitmap_matrix(scramble, spec.group_cols)
+        row_gid = group_index(scramble, spec.group_cols)[1]
     else:
         groups = [()]
-        gmatrix = np.ones((1, scramble.n_blocks), dtype=bool)
+        gmatrix = np.ones((1, B), dtype=bool)
+        row_gid = np.zeros(scramble.n_rows, dtype=np.int64)
 
-    static = np.ones(scramble.n_blocks, dtype=bool)
+    measure = scramble.table().column(spec.agg_col).combine_chunks()
+    keep = measure.is_valid().to_numpy(zero_copy_only=False)
+    static = np.ones(B, dtype=bool)
     for p in spec.predicate:
         if isinstance(p, Eq):
-            static &= get_column_bitmap(scramble, p.col).row(p.value)
+            bm = get_column_bitmap(scramble, p.col)
+            static &= bm.row(p.value)
+            keep &= bm.codes == bm.code(p.value)
+        else:  # Gt: not indexable, a row filter only
+            keep &= scramble.column(p.col).to_numpy() > p.value
 
-    df = scramble.df
-    pred = spec.predicate_spark()
-    if pred is not None:
-        df = df.filter(pred)
-    v = F.col(spec.agg_col)
-    agg = df.groupBy("block_id", *spec.group_cols).agg(
-        F.count(v).alias("cnt"),
-        F.sum(v).alias("tot"),
-        F.sum(v * v).alias("sq"),
-        F.min(v).alias("mn"),
-        F.max(v).alias("mx"),
-    )
-    pdf = agg.toPandas().sort_values("block_id", kind="stable")
-
-    if spec.group_cols:
-        gindex = {g: i for i, g in enumerate(groups)}
-        keys = list(
-            zip(*(pdf[c].tolist() for c in spec.group_cols))
-        )
-        gid = np.array([gindex[k] for k in keys], dtype=np.int64)
-    else:
-        gid = np.zeros(len(pdf), dtype=np.int64)
-
-    blk = pdf["block_id"].to_numpy(dtype=np.int64)
+    G = len(groups)
+    v = measure.to_numpy(zero_copy_only=False)[keep].astype(np.float64, copy=False)
+    cell = scramble.column("block_id").to_numpy()[keep] * G + row_gid[keep]
+    cells, inv = np.unique(cell, return_inverse=True)
+    n = cells.size
+    mn = np.full(n, np.inf)
+    mx = np.full(n, -np.inf)
+    np.minimum.at(mn, inv, v)
+    np.maximum.at(mx, inv, v)
+    blk = cells // G
     prep = Prep(
         groups=groups,
         gmatrix=gmatrix,
         static_mask=static,
         blk=blk,
-        offsets=np.searchsorted(blk, np.arange(scramble.n_blocks + 1)),
-        gid=gid,
-        cnt=pdf["cnt"].to_numpy(dtype=np.float64),
-        tot=pdf["tot"].to_numpy(dtype=np.float64),
-        sq=pdf["sq"].to_numpy(dtype=np.float64),
-        mn=pdf["mn"].to_numpy(dtype=np.float64),
-        mx=pdf["mx"].to_numpy(dtype=np.float64),
+        offsets=np.searchsorted(blk, np.arange(B + 1)),
+        gid=cells % G,
+        cnt=np.bincount(inv, minlength=n).astype(np.float64),
+        tot=np.bincount(inv, weights=v, minlength=n),
+        sq=np.bincount(inv, weights=v * v, minlength=n),
+        mn=mn,
+        mx=mx,
         a=float(a),
         b=float(b),
         prep_seconds=time.perf_counter() - t0,

@@ -13,10 +13,7 @@ midnight in our integer DepTime encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
-
-from pyspark.sql import Column
-from pyspark.sql import functions as F
+from typing import Tuple, Union
 
 from repro.core.stopping import (
     Ordered,
@@ -34,9 +31,6 @@ class Eq:
     col: str
     value: Union[str, int]
 
-    def to_spark(self) -> Column:
-        return F.col(self.col) == F.lit(self.value)
-
     def to_sql(self) -> str:
         v = f"'{self.value}'" if isinstance(self.value, str) else str(self.value)
         return f"{self.col} = {v}"
@@ -48,9 +42,6 @@ class Gt:
 
     col: str
     value: float
-
-    def to_spark(self) -> Column:
-        return F.col(self.col) > F.lit(self.value)
 
     def to_sql(self) -> str:
         return f"{self.col} > {self.value}"
@@ -76,16 +67,8 @@ class QuerySpec:
     params: dict = field(default_factory=dict)
 
     def signature(self):
-        """Cache key for Spark-side prep (predicate + grouping + measure)."""
+        """Cache key for per-query prep (predicate + grouping + measure)."""
         return (self.predicate, self.group_cols, self.agg_col)
-
-    def predicate_spark(self) -> Optional[Column]:
-        if not self.predicate:
-            return None
-        c = self.predicate[0].to_spark()
-        for p in self.predicate[1:]:
-            c = c & p.to_spark()
-        return c
 
     def predicate_sql(self) -> str:
         if not self.predicate:

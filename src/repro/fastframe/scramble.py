@@ -8,10 +8,12 @@ shuffle cost is paid offline and amortized over all subsequent queries.
 
 Built entirely with the DataFrame API: ``rand(seed)`` ordering, a
 window ``row_number`` for positions, and integer division for block
-ids. The resulting DataFrame is cached; per-query preparation artifacts
-(block statistics, bitmap matrices) are cached on the Scramble object
-keyed by query signature so ablation runs over the same query pay the
-Spark cost once.
+ids. The resulting DataFrame is cached. FastFrame itself is a
+single-node in-memory column store (paper §4): :meth:`Scramble.table`
+pulls the scramble to the driver once, as one Arrow table, and every
+per-query artifact (bitmaps, block statistics, the ground-truth frame)
+is built from that copy in NumPy and cached on the Scramble keyed by
+query signature.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict
 
 import numpy as np
+import pyarrow as pa
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -51,6 +54,27 @@ class Scramble:
         out = np.full(self.n_blocks, self.block_size, dtype=np.int64)
         out[-1] = self.rows_in_block(self.n_blocks - 1)
         return out
+
+    def table(self) -> pa.Table:
+        """The scramble's rows on the driver as one Arrow table.
+
+        One Spark job (``toArrow``) per scramble, cached in
+        ``prep_cache``: the only Spark work per-query prep does."""
+        key = ("arrow",)
+        if key not in self.prep_cache:
+            self.prep_cache[key] = self.df.toArrow().combine_chunks()
+        return self.prep_cache[key]
+
+    def column(self, name: str) -> pa.Array:
+        """A column of :meth:`table` that may hold no nulls: block ids,
+        group columns and predicate columns."""
+        col = self.table().column(name).combine_chunks()
+        if col.null_count:
+            raise ValueError(
+                f"column {name!r} has {col.null_count} null value(s); "
+                "group and predicate columns must have none"
+            )
+        return col
 
 
 def build_scramble(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.stopping import Ordered, RelWidth, Threshold, TopK
 from repro.fastframe import queries as Q
+from repro.fastframe.engine import prepare
 
 
 def test_all_nine_queries_defined():
@@ -81,10 +82,12 @@ def test_predicate_sql_rendering():
     assert Q.Gt("DepTime", 830).to_sql() == "DepTime > 830"
 
 
-def test_predicate_spark_rendering(flights_df, flights_pdf):
-    spec = Q.fq1(airport="ORD")
-    n = flights_df.filter(spec.predicate_spark()).count()
-    assert n == (flights_pdf.Origin == "ORD").sum()
+def test_predicate_mask_matches_spark_filter(scramble):
+    """The NumPy predicate mask keeps exactly the rows Spark's filter of
+    the SQL rendering does (Eq on Origin, Gt on DepTime, Eq on Airline)."""
+    for spec in (Q.fq1(airport="ORD"), Q.fq3(), Q.fq7()):
+        n = scramble.df.filter(spec.predicate_sql().removeprefix(" WHERE ")).count()
+        assert prepare(scramble, spec).cnt.sum() == n, spec.name
 
 
 @pytest.mark.parametrize("name", sorted(Q.ALL_QUERIES))
